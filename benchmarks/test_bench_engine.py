@@ -39,5 +39,7 @@ def test_warm_cache_run(benchmark, tmp_path):
 
     runner = BatchRunner(jobs=1, cache=cache)
     results = benchmark(runner.run, tasks)
-    assert runner.last_cache_hits == len(tasks)
     assert all(r.cached for r in results)
+    stream = runner.run_stream(tasks)
+    list(stream)
+    assert stream.stats.cache_hits == len(tasks)

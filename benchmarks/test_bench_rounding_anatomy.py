@@ -1,6 +1,7 @@
 """E18 (ablation) — anatomy of the LP-rounding algorithm.
 
-Design-choice ablations DESIGN.md calls out for the Theorem-2 implementation:
+Design-choice ablations of the Theorem-2 implementation (Sections 3.2–3.4 of
+the paper, ``repro.activetime.rounding``):
 
 * how often each proof mechanism fires (carry/proxy vs half-open vs
   dependent/trio/filler charges) across instance families;

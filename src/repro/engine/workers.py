@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 import traceback
 from contextlib import contextmanager
@@ -175,8 +176,17 @@ class TaskResult:
 
 @contextmanager
 def _alarm(seconds: float | None) -> Iterator[None]:
-    """Arm ``SIGALRM`` for ``seconds`` (no-op without support or budget)."""
-    if not seconds or not hasattr(signal, "SIGALRM"):
+    """Arm ``SIGALRM`` for ``seconds``.
+
+    A no-op without a budget, without ``SIGALRM`` support, or off the
+    main thread (``signal.signal`` only works there): an in-process
+    ``jobs=1`` task run from a serving thread keeps a soft timeout.
+    """
+    if (
+        not seconds
+        or not hasattr(signal, "SIGALRM")
+        or threading.current_thread() is not threading.main_thread()
+    ):
         yield
         return
 

@@ -22,9 +22,7 @@ that is deliberate is waived *on its line* with an auditable reason::
 
     handler()   # lint: waive[REP002] teardown path must never raise
 
-The legacy ``# blocking-ok`` spelling (from the retired
-``tools/check_async_blocking.py``) still works and means exactly
-``waive[REP001]``.  The framework lints itself; the CI gate runs
+The framework lints itself; the CI gate runs
 ``repro lint src tools benchmarks`` and fails on any unwaived finding.
 """
 

@@ -2,10 +2,8 @@
 
 The asyncio serving tier multiplexes every connection on one event
 loop; a single blocking call inside an ``async def`` stalls *all* of
-them (the bug class PR 9 guarded with the one-off
-``tools/check_async_blocking.py``, which this rule absorbs and
-generalizes to every coroutine in the tree).  Flagged inside coroutine
-bodies:
+them.  This rule checks every coroutine in the tree.  Flagged inside
+coroutine bodies:
 
 * ``time.sleep(...)`` — use ``asyncio.sleep`` or move off-loop;
 * blocking socket methods (``recv``/``recv_into``/``recvfrom``/

@@ -16,8 +16,8 @@ from the MILPs assembled here:
 * :func:`solve_unbounded_span_exact` — the unbounded-capacity placement step
   (OPT_inf): start-time choice variables plus on/off slot indicators.  This
   replaces Khandekar et al.'s polynomial dynamic program with an exact
-  pseudo-polynomial MILP producing the same optimal value (see DESIGN.md,
-  substitution table).
+  pseudo-polynomial MILP producing the same optimal value (see the
+  README's *Paper mapping* table).
 * :func:`solve_busy_time_flexible_exact` — fully general (tiny instances):
   start choice x machine assignment x busy indicators.
 

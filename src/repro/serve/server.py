@@ -855,7 +855,7 @@ class ReproAsyncServer:
         self._stopped.wait(timeout=30.0)
 
     def server_close(self) -> None:
-        """Release sockets, the request executor and the worker pools."""
+        """Release sockets, the request executor and the worker pool."""
         self.shutdown()
         self._closed = True
         try:

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import signal
+import threading
 import time
 
 import pytest
@@ -113,11 +114,13 @@ class TestBatchRunner:
         tasks = _tasks(small_instances)
         cache = ResultCache(directory=tmp_path)
         runner = BatchRunner(jobs=1, cache=cache)
-        runner.run(tasks)
-        assert runner.last_cache_hits == 0
+        first = runner.run_stream(tasks)
+        list(first)
+        assert first.stats.cache_hits == 0
         second = BatchRunner(jobs=1, cache=ResultCache(directory=tmp_path))
-        results = second.run(tasks)
-        assert second.last_cache_hits == len(tasks)
+        stream = second.run_stream(tasks)
+        results = list(stream)
+        assert stream.stats.cache_hits == len(tasks)
         assert all(r.cached for r in results)
 
     def test_failures_are_not_cached(self, tmp_path):
@@ -126,9 +129,9 @@ class TestBatchRunner:
         cache = ResultCache(directory=tmp_path)
         runner = BatchRunner(jobs=1, cache=cache)
         assert not runner.run(tasks)[0].ok
-        rerun = BatchRunner(jobs=1, cache=cache)
-        rerun.run(tasks)
-        assert rerun.last_cache_hits == 0
+        rerun = BatchRunner(jobs=1, cache=cache).run_stream(tasks)
+        list(rerun)
+        assert rerun.stats.cache_hits == 0
 
     def test_duplicate_digests_solved_once_per_run(self, small_instances):
         # Same instance submitted twice without any cache: the second
@@ -139,10 +142,10 @@ class TestBatchRunner:
                       instance=inst, meta={"copy": i})
             for i in range(3)
         ]
-        runner = BatchRunner(jobs=1)
-        results = runner.run(tasks)
+        stream = BatchRunner(jobs=1).run_stream(tasks)
+        results = list(stream)
         assert [r.cached for r in results] == [False, True, True]
-        assert runner.last_cache_hits == 2
+        assert stream.stats.cache_hits == 2
         assert results[1].objective == results[0].objective
         assert results[2].meta == {"copy": 2}  # provenance preserved
 
@@ -155,11 +158,24 @@ class TestBatchRunner:
                       instance=bad)
             for i in range(2)
         ]
-        runner = BatchRunner(jobs=1)
-        results = runner.run(tasks)
+        stream = BatchRunner(jobs=1).run_stream(tasks)
+        results = list(stream)
         assert [r.ok for r in results] == [False, False]
         assert [r.cached for r in results] == [False, False]
-        assert runner.last_cache_hits == 0
+        assert stream.stats.cache_hits == 0
+
+    def test_jobs1_timeout_off_main_thread_stays_soft(self, small_instances):
+        # signal.signal only works on the main thread: a timed jobs=1
+        # task run from a serving thread must solve under a soft timeout,
+        # not fail with "signal only works in main thread".
+        tasks = _tasks(small_instances[:1], timeout=30.0)
+        results = []
+        thread = threading.Thread(
+            target=lambda: results.extend(BatchRunner(jobs=1).run(tasks))
+        )
+        thread.start()
+        thread.join(timeout=30)
+        assert [r.ok for r in results] == [True], [r.error for r in results]
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
@@ -185,13 +201,13 @@ class TestExecuteLengthInvariant:
         self, small_instances, monkeypatch
     ):
         with BatchRunner(jobs=2) as runner:
-            real = runner._stream_parallel
+            real = runner._stream_watchdog
 
             def dropping(work, stats, priority=0):
                 events = list(real(work, stats))
                 yield from events[:-1]
 
-            monkeypatch.setattr(runner, "_stream_parallel", dropping)
+            monkeypatch.setattr(runner, "_stream_watchdog", dropping)
             tasks = _tasks(small_instances)
             results = runner.run(tasks)
         assert len(results) == len(tasks)
@@ -206,14 +222,14 @@ class TestExecuteLengthInvariant:
         self, small_instances, monkeypatch
     ):
         with BatchRunner(jobs=2) as runner:
-            real = runner._stream_parallel
+            real = runner._stream_watchdog
 
             def repeating(work, stats, priority=0):
                 events = list(real(work, stats))
                 yield from events
                 yield events[0]
 
-            monkeypatch.setattr(runner, "_stream_parallel", repeating)
+            monkeypatch.setattr(runner, "_stream_watchdog", repeating)
             with pytest.raises(RuntimeError, match="misaligned"):
                 runner.run(_tasks(small_instances))
 
@@ -317,12 +333,13 @@ class TestWatchdog:
         ]
         with BatchRunner(jobs=2, watchdog_grace=0.2) as runner:
             start = time.perf_counter()
-            results = runner.run(tasks)
+            stream = runner.run_stream(tasks)
+            results = list(stream)
             elapsed = time.perf_counter() - start
         assert [r.ok for r in results] == [False, True, False]
         assert "watchdog" in results[0].error
         assert "timed out" in results[2].error
-        assert runner.last_watchdog_kills == 2
+        assert stream.stats.watchdog_kills == 2
         assert elapsed < 15.0
 
     def test_timeouts_from_watchdog_are_not_cached(
@@ -382,7 +399,8 @@ class TestWatchdog:
             for i, inst in enumerate(small_instances)
         ]
         with BatchRunner(jobs=2) as runner:
-            results = runner.run(tasks)
+            stream = runner.run_stream(tasks)
+            results = list(stream)
         assert len(results) == len(tasks)
         assert [r.ok for r in results] == [False, True, False]
         assert [r.index for r in results] == [0, 1, 2]
@@ -390,7 +408,7 @@ class TestWatchdog:
             assert results[pos].digest == tasks[pos].digest
             assert "died" in results[pos].error
         # deaths are not timeouts: the watchdog never had to fire
-        assert runner.last_watchdog_kills == 0
+        assert stream.stats.watchdog_kills == 0
 
     def test_dead_duplicates_are_retried_through_the_watchdog(
         self, dying_solver, small_instances
@@ -416,9 +434,10 @@ class TestWatchdog:
         # the grace window, so the watchdog never has to kill anything.
         tasks = _tasks(small_instances[:2], timeout=30.0)
         with BatchRunner(jobs=2) as runner:
-            results = runner.run(tasks)
+            stream = runner.run_stream(tasks)
+            results = list(stream)
         assert all(r.ok for r in results)
-        assert runner.last_watchdog_kills == 0
+        assert stream.stats.watchdog_kills == 0
 
 
 class TestSweep:
@@ -658,9 +677,15 @@ class TestStructureAffinity:
                 runner._pick_strategy(grouped, work)
                 == runner._stream_watchdog
             )
+            # plain parallel tasks share the one pool as well
             assert (
                 runner._pick_strategy(plain, work)
-                == runner._stream_parallel
+                == runner._stream_watchdog
+            )
+            # a lone pending task with no deadline in play runs in-process
+            assert (
+                runner._pick_strategy(plain[:1], work[:1])
+                == runner._stream_serial
             )
         # jobs=1 stays serial regardless of grouping
         with BatchRunner(jobs=1) as runner:

@@ -1,8 +1,8 @@
-"""Tests for `BatchRunner.run_stream` and the persistent worker pools.
+"""Tests for `BatchRunner.run_stream` and the persistent worker pool.
 
 Covers the streaming contract (task-order yields, incremental arrival,
-parity with ``run``), pool persistence across calls, and the
-broken-process-pool recovery path.
+parity with ``run``), pool persistence across calls, lease sharing
+between concurrent streams, and worker-death recovery.
 """
 
 import multiprocessing
@@ -120,8 +120,9 @@ class TestStreamParity:
         with BatchRunner(jobs=1, cache=cache) as warm:
             warm.run(tasks)
         with BatchRunner(jobs=1, cache=ResultCache(directory=tmp_path)) as r:
-            streamed = list(r.run_stream(tasks))
-            assert r.last_cache_hits == len(tasks)
+            stream = r.run_stream(tasks)
+            streamed = list(stream)
+            assert stream.stats.cache_hits == len(tasks)
         assert all(res.cached for res in streamed)
 
     def test_cache_hits_stream_before_execution(self, small_instances):
@@ -209,7 +210,7 @@ class TestStrategyAndCancellation:
         # an undeadlined first occurrence with a deadlined duplicate.
         # The duplicate's failure retry joins the queue mid-stream; the
         # strategy choice must see its deadline up front and run the
-        # whole stream under the watchdog, not the plain pool — else the
+        # whole stream under the watchdog, not in-process — else the
         # retry's hard timeout silently degrades to a soft one.
         bad = Instance.from_tuples([(0, 1, 1), (0, 1, 1)])
         first = make_task(index=0, problem="active", algorithm="minimal",
@@ -220,32 +221,7 @@ class TestStrategyAndCancellation:
         with BatchRunner(jobs=2) as runner:
             results = runner.run([first, dup])
             assert runner._wd_total >= 1  # the watchdog pool was used
-            assert runner._executor is None  # the plain pool was not
         assert [r.ok for r in results] == [False, False]
-
-    def test_cancelled_futures_become_positioned_failures(
-        self, small_instances, monkeypatch
-    ):
-        # CancelledError is a BaseException: when another stream's pool
-        # rebuild (or close()) cancels this stream's queued futures on
-        # the shared executor, each must surface as a positioned failure
-        # record, not escape and kill the stream mid-batch.
-        from concurrent.futures import Future
-
-        def cancelled_submit(task):
-            future = Future()
-            future.cancel()
-            # what a real executor does when it drains a cancelled work
-            # item: notify waiters, so wait() reports the future done
-            future.set_running_or_notify_cancel()
-            return future
-
-        with BatchRunner(jobs=2) as runner:
-            monkeypatch.setattr(runner, "_submit", cancelled_submit)
-            results = runner.run(_tasks(small_instances[:3]))
-        assert [r.ok for r in results] == [False, False, False]
-        assert all("pool broke" in r.error for r in results)
-        assert [r.index for r in results] == [0, 1, 2]
 
 
 @_FORK_ONLY
@@ -315,18 +291,84 @@ class TestWatchdogLeasing:
             time.sleep(0.05)
         assert runner._wd_total == 0 and runner._wd_idle == []
 
+    def test_urgent_and_bulk_streams_share_jobs_workers(
+        self, sleepy_solver, small_instances
+    ):
+        # An urgent run with a timeout (a /solve) beside a bulk
+        # run_stream without one (a /batch) on one jobs=2 runner: both
+        # lease from the one pool, so the process never holds more than
+        # two live worker processes, and the urgent stream still
+        # finishes first.
+        from repro.engine import PRIORITY_URGENT
+
+        # eight distinct digests (no in-run dedupe shortens the batch)
+        bulk = [
+            make_task(index=i, problem="active", algorithm=sleepy_solver,
+                      g=4 + i // 4, instance=small_instances[i % 4])
+            for i in range(8)
+        ]
+        urgent = [
+            make_task(index=i, problem="active", algorithm=sleepy_solver,
+                      g=3, instance=small_instances[i], timeout=30.0,
+                      meta={"copy": i})
+            for i in range(2)
+        ]
+        baseline = len(multiprocessing.active_children())
+        peak = [0]
+        finished = {}
+        stop = threading.Event()
+
+        def monitor():
+            while not stop.is_set():
+                live = len(multiprocessing.active_children()) - baseline
+                peak[0] = max(peak[0], live)
+                time.sleep(0.01)
+
+        def consume(label, results):
+            assert all(r.ok for r in results)
+            finished[label] = time.monotonic()
+
+        runner = BatchRunner(jobs=2)
+        watcher = threading.Thread(target=monitor)
+        watcher.start()
+        try:
+            thread_bulk = threading.Thread(
+                target=lambda: consume(
+                    "bulk", list(runner.run_stream(bulk))
+                )
+            )
+            thread_bulk.start()
+            time.sleep(0.2)  # the bulk stream now holds both workers
+            thread_urgent = threading.Thread(
+                target=lambda: consume(
+                    "urgent", runner.run(urgent, priority=PRIORITY_URGENT)
+                )
+            )
+            thread_urgent.start()
+            thread_urgent.join(timeout=30)
+            thread_bulk.join(timeout=30)
+        finally:
+            stop.set()
+            watcher.join(timeout=5)
+            runner.close()
+        assert set(finished) == {"bulk", "urgent"}
+        assert finished["urgent"] < finished["bulk"], finished
+        assert 1 <= peak[0] <= 2, peak
+
 
 class TestPersistentPools:
-    def test_executor_survives_across_calls(self, small_instances):
+    def test_untimed_stream_workers_survive_across_calls(
+        self, small_instances
+    ):
+        # No timeouts: plain parallel streams run on the same pool.
         with BatchRunner(jobs=2) as runner:
             runner.run(_tasks(small_instances))
-            first_pool = runner._executor
-            assert first_pool is not None
-            first_pids = set(first_pool._processes)
+            pids = sorted(w.proc.pid for w in runner._wd_idle)
+            assert pids and runner._wd_total == len(pids) <= 2
             runner.run(_tasks(small_instances, g=3))
-            assert runner._executor is first_pool
-            assert set(runner._executor._processes) == first_pids
-        assert runner._executor is None  # released by the context manager
+            assert sorted(w.proc.pid for w in runner._wd_idle) == pids
+        # released by the context manager
+        assert runner._wd_total == 0 and runner._wd_idle == []
 
     def test_watchdog_workers_survive_across_calls(self, small_instances):
         with BatchRunner(jobs=2) as runner:
@@ -341,9 +383,13 @@ class TestPersistentPools:
         runner = BatchRunner(jobs=2)
         try:
             assert all(r.ok for r in runner.run(_tasks(small_instances)))
+            pids = {w.proc.pid for w in runner._wd_idle}
             runner.close()
-            assert runner._executor is None
+            assert runner._wd_total == 0 and runner._wd_idle == []
             assert all(r.ok for r in runner.run(_tasks(small_instances)))
+            fresh = {w.proc.pid for w in runner._wd_idle}
+            assert runner._wd_total == len(fresh) >= 1
+            assert not fresh & pids  # new processes, not resurrected ones
         finally:
             runner.close()
 
@@ -353,11 +399,10 @@ class TestBrokenPool:
     def test_broken_pool_fails_in_place_and_batch_survives(
         self, dying_solver, small_instances
     ):
-        # Task 0 OOM-kills its worker, which breaks the whole
-        # ProcessPoolExecutor.  Regression: future.result() used to
-        # propagate BrokenProcessPool and abort the batch; now every
-        # broken future becomes a positioned failure and the remaining
-        # tasks run on a rebuilt pool.
+        # Task 0 kills its worker outright (the OOM-killer case) in a
+        # stream with no timeouts.  Each worker holds one task, so the
+        # death fails exactly that position; its neighbours stay ok and
+        # the remaining tasks run on a replacement worker.
         instances = small_instances * 2
         tasks = [
             make_task(
@@ -374,14 +419,11 @@ class TestBrokenPool:
             assert len(results) == len(tasks)
             assert [r.index for r in results] == list(range(len(tasks)))
             assert not results[0].ok
-            assert "pool broke" in results[0].error
+            assert "worker process died" in results[0].error
             assert results[0].digest == tasks[0].digest
-            # the pool break can take at most the one in-flight
-            # neighbour down with it (which one is a scheduling race);
-            # everything still queued runs on the fresh pool.
-            bad = [r for r in results if not r.ok]
-            assert 1 <= len(bad) <= 2, [r.error for r in bad]
-            assert all("pool broke" in r.error for r in bad)
+            assert all(r.ok for r in results[1:]), [
+                r.error for r in results[1:] if not r.ok
+            ]
             # the runner stays usable: next call gets a healthy pool
             again = runner.run(
                 _tasks(small_instances, g=3)
@@ -406,9 +448,8 @@ class TestPerStreamStats:
     def test_concurrent_streams_keep_counts_separate(self, small_instances):
         # Two streams share one runner and one cache: stream A re-runs
         # previously cached tasks (every result a hit), stream B solves
-        # fresh ones (zero hits).  With the old runner-level
-        # ``last_cache_hits`` attribute the two consumers raced and one
-        # stream read the other's count; per-stream stats must not.
+        # fresh ones (zero hits).  Each stream must read its own count,
+        # never the other's.
         cache = ResultCache()
         hot = _tasks(small_instances)
         cold = _tasks(small_instances, g=3)
@@ -439,9 +480,6 @@ class TestPerStreamStats:
             assert not errors
             assert streams["hot"].stats.cache_hits == len(hot)
             assert streams["cold"].stats.cache_hits == 0
-            # the legacy mirror still answers, with whichever stream
-            # finished last -- a sanity check, not a contract
-            assert runner.last_cache_hits in (0, len(hot))
 
     def test_duplicate_reuse_counts_as_stream_hit(self, small_instances):
         tasks = _tasks(small_instances + [small_instances[0]])

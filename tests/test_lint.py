@@ -71,7 +71,7 @@ class TestREP001AsyncBlocking:
         """)
         assert _lint_dir(tmp_path, rule_ids=["REP001"]).ok
 
-    def test_legacy_blocking_ok_waiver_still_works(self, tmp_path):
+    def test_legacy_blocking_ok_spelling_no_longer_waives(self, tmp_path):
         _write(tmp_path, "mod.py", """\
             import time
 
@@ -79,9 +79,9 @@ class TestREP001AsyncBlocking:
                 time.sleep(0)  # blocking-ok yields the GIL; never blocks
         """)
         report = _lint_dir(tmp_path, rule_ids=["REP001"])
-        assert report.ok
-        assert len(report.waived) == 1
-        assert report.waived[0].rule == "REP001"
+        assert not report.ok
+        assert [(f.rule, f.line) for f in report.findings] == [("REP001", 4)]
+        assert report.waived == []
 
     def test_banned_server_imports_only_in_serve_package(self, tmp_path):
         source = "import socketserver\n"
@@ -435,16 +435,11 @@ class TestWaivers:
         waiver = waivers[1]
         assert waiver.ids == frozenset({"REP002", "REP005"})
         assert waiver.reason == "crosses no boundary"
-        assert not waiver.legacy
         assert not waiver.malformed
         assert waiver.covers("REP005") and not waiver.covers("REP001")
 
-    def test_legacy_blocking_ok_means_rep001(self):
-        waivers = parse_waivers(["time.sleep(0)  # blocking-ok warms cache"])
-        waiver = waivers[1]
-        assert waiver.ids == frozenset({"REP001"})
-        assert waiver.legacy
-        assert waiver.reason == "warms cache"
+    def test_legacy_blocking_ok_is_not_a_waiver(self):
+        assert parse_waivers(["time.sleep(0)  # blocking-ok warms cache"]) == {}
 
     def test_malformed_ids_recorded(self):
         waivers = parse_waivers(["x  # lint: waive[REP1,nope] why"])
@@ -513,6 +508,7 @@ class TestCli:
             async def handler():
                 time.sleep(0)
                 time.sleep(1)  # blocking-ok measured; sub-ms on this path
+                time.sleep(2)  # lint: waive[REP001] measured; sub-ms here
         """)
         code = lint_main([str(tmp_path), "--json", "--root", str(tmp_path)])
         assert code == 1
@@ -524,8 +520,9 @@ class TestCli:
         finding = payload["findings"][0]
         assert set(finding) == {"path", "line", "rule", "message"}
         assert finding["rule"] == "REP001"
-        assert finding["line"] == 4
-        assert payload["waived"][0]["line"] == 5
+        # the retired ``# blocking-ok`` spelling waives nothing
+        assert [f["line"] for f in payload["findings"]] == [4, 5]
+        assert [w["line"] for w in payload["waived"]] == [6]
 
     def test_list_rules_documents_every_rule(self, capsys):
         assert lint_main(["--list-rules"]) == 0
