@@ -5,11 +5,18 @@ Figure-3 gadget admits a minimal solution of cost 3g - 2 against OPT = g, so
 the bound is asymptotically tight.  We regenerate the gadget for a sweep of
 g, verify the adversarial slot set is feasible at cost 3g - 2, and show the
 library's greedy minimizer (inside-out closing order) actually lands on it.
+
+The wall-clock guard at the end pins the warm-started feasibility oracle: a
+2-job instance at horizon 10^3 makes about a thousand closing probes, which
+took 3.1 s on a 2-core x86 box when every probe re-ran max-flow from zero.
 """
+
+import time
 
 import pytest
 
 from repro.activetime import exact_active_time, minimal_feasible_schedule
+from repro.core import Instance, Job
 from repro.flow import is_feasible_slot_set
 from repro.instances import figure3
 
@@ -66,3 +73,14 @@ def test_minimal_feasible_runtime(benchmark, g):
         minimal_feasible_schedule, gad.instance, g, order="inside_out"
     )
     assert schedule.is_valid()
+
+
+def test_two_jobs_horizon_1000_wall_bound():
+    """Closing ~10^3 slots re-routes a few units per probe, not all of them."""
+    inst = Instance((Job(0, 1000, 333, id=0), Job(500, 1000, 250, id=1)))
+    start = time.perf_counter()
+    schedule = minimal_feasible_schedule(inst, 1)
+    elapsed = time.perf_counter() - start
+    schedule.verify()
+    assert schedule.cost == 583
+    assert elapsed < 2.0, f"minimal-feasible took {elapsed:.2f} s (bound 2.0 s)"

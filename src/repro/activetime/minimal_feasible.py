@@ -37,9 +37,10 @@ def _ordering(
 ) -> list[int]:
     """Resolve the closing order specification into a concrete slot list."""
     if not isinstance(order, str):
-        explicit = [t for t in order if t in set(candidates)]
-        rest = [t for t in candidates if t not in set(explicit)]
-        return list(explicit) + rest
+        allowed = set(candidates)
+        explicit = list(dict.fromkeys(t for t in order if t in allowed))
+        tried = set(explicit)
+        return explicit + [t for t in candidates if t not in tried]
     if order == "left":
         return sorted(candidates)
     if order == "right":

@@ -147,22 +147,17 @@ def round_active_time(
     opened: set[int] = set()
     proxy: Optional[tuple[int, float]] = None  # (pointer slot, value)
 
-    # Prefix feasibility oracles, one per deadline block, built lazily.
-    prefix_oracles: dict[int, ActiveTimeFeasibility] = {}
+    # One oracle over the whole instance; a block probe admits the jobs
+    # with deadline up to the block's end.  Admitted jobs and opened slots
+    # only grow, so every probe below augments the previous flow.
+    oracle = ActiveTimeFeasibility(instance, g)
+    deadlines = {j.id: j.integral_window()[1] for j in instance.jobs}
 
     def prefix_feasible(i: int, slots: set[int]) -> bool:
         _, b = blocks[i]
-        oracle = prefix_oracles.get(i)
-        if oracle is None:
-            prefix = Instance(
-                tuple(
-                    j for j in instance.jobs if j.integral_window()[1] <= b
-                )
-            )
-            if prefix.n == 0:
-                return True
-            oracle = ActiveTimeFeasibility(prefix, g)
-            prefix_oracles[i] = oracle
+        oracle.admit(jid for jid, d in deadlines.items() if d <= b)
+        if oracle.P == 0:
+            return True
         return oracle.is_feasible(slots)
 
     for i, ((a, b), y_mass) in enumerate(zip(blocks, masses)):
@@ -256,7 +251,7 @@ def round_active_time(
     # Final extraction; repair loop is a safety net that theory says is
     # never taken (tests assert repair_slots == []).
     # ------------------------------------------------------------------
-    oracle = ActiveTimeFeasibility(instance, g)
+    oracle.admit(j.id for j in instance.jobs)
     repair_slots: list[int] = []
     if not oracle.is_feasible(opened):
         for t in range(1, instance.horizon + 1):

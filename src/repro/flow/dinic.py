@@ -12,6 +12,10 @@ tuned for repeated solves on small-to-medium networks:
 * integer capacities throughout, so the returned flow is integral — the
   property the rounding proof leans on ("by integrality of flow").
 
+Flows persist between calls: :meth:`Dinic.max_flow` resets them to zero and
+solves, while :meth:`Dinic.augment` continues from the current residual
+network, the warm start the feasibility oracle relies on.
+
 Dinic's algorithm runs in ``O(V^2 E)`` in general and ``O(E sqrt(V))`` on unit
 bipartite networks, far better than needed at the instance sizes the paper's
 experiments require.
@@ -57,8 +61,11 @@ class Dinic:
         result = net.max_flow(source, sink)
         result.flows[e]     # flow routed on that edge
 
-    ``max_flow`` may be called again after :meth:`set_capacity` updates; the
-    network resets all flows at the start of each call.
+    The network holds a current flow between calls.  ``max_flow`` starts
+    from zero flow (it calls :meth:`reset`); :meth:`augment` pushes on top
+    of the current flow, so a caller that edits capacities with
+    :meth:`set_capacity` and cancels flow with :meth:`withdraw` can
+    re-maximise without re-routing what still fits.
     """
 
     def __init__(self, n_nodes: int):
@@ -104,12 +111,21 @@ class Dinic:
         return handle
 
     def set_capacity(self, handle: int, capacity: int) -> None:
-        """Update the capacity of a previously added edge."""
+        """Update the capacity of a previously added edge.
+
+        The current flow is kept when the edge's flow still fits the new
+        capacity; otherwise it is discarded (:meth:`reset`).
+        """
         if handle % 2 != 0:
             raise ValueError("handles refer to forward edges (even indices)")
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
+        delta = capacity - self._orig_cap[handle]
         self._orig_cap[handle] = capacity
+        if self._cap[handle] + delta < 0:
+            self.reset()
+        else:
+            self._cap[handle] += delta
 
     def capacity(self, handle: int) -> int:
         """Current configured capacity of an edge."""
@@ -118,83 +134,93 @@ class Dinic:
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
-    def max_flow(self, source: int, sink: int) -> MaxFlowResult:
-        """Compute a maximum ``source -> sink`` flow.
+    def reset(self) -> None:
+        """Discard the current flow: every edge back to its capacity."""
+        self._cap[:] = self._orig_cap
 
-        Resets residual capacities from the configured capacities first, so
-        repeated calls (after :meth:`set_capacity` updates) are independent.
+    def max_flow(self, source: int, sink: int) -> MaxFlowResult:
+        """Compute a maximum ``source -> sink`` flow from zero flow.
+
+        Resets the flow first, so repeated calls (after
+        :meth:`set_capacity` updates) are independent, then runs
+        :meth:`augment` without a limit.
+        """
+        self.reset()
+        total = self.augment(source, sink)
+        cap, orig = self._cap, self._orig_cap
+        flows = [orig[e] - cap[e] if e % 2 == 0 else 0 for e in range(len(cap))]
+        return MaxFlowResult(total, flows)
+
+    def augment(self, source: int, sink: int, limit: int | None = None) -> int:
+        """Push more flow on top of the current one; return the amount pushed.
+
+        Runs Dinic phases on the residual network as it stands (no reset)
+        until no augmenting path is left or ``limit`` more units have been
+        pushed.  From zero flow and without a limit this is a maximum flow.
         """
         if source == sink:
             raise ValueError("source and sink must differ")
         cap = self._cap
-        cap[:] = self._orig_cap  # reset flows
-
         head = self._head
         adj = self._adj
         n = self.n
-        level = [-1] * n
-        it = [0] * n
+        budget = float("inf") if limit is None else limit
         total = 0
 
-        INF = float("inf")
-
-        while True:
-            # --- BFS: build level graph -------------------------------
-            for i in range(n):
-                level[i] = -1
+        while total < budget:
+            # --- BFS: level graph; stop once the sink is labelled, as
+            # nodes labelled later lie on no shortest augmenting path ----
+            level = [-1] * n
             level[source] = 0
             queue = deque([source])
-            while queue:
+            while queue and level[sink] < 0:
                 u = queue.popleft()
+                next_level = level[u] + 1
                 for e in adj[u]:
-                    v = head[e]
-                    if cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
+                    if cap[e] > 0:
+                        v = head[e]
+                        if level[v] < 0:
+                            level[v] = next_level
+                            queue.append(v)
             if level[sink] < 0:
                 break
 
             # --- DFS: blocking flow (iterative) -----------------------
-            for i in range(n):
-                it[i] = 0
-            while True:
-                pushed = self._dfs_push(source, sink, INF, level, it)
+            it = [0] * n
+            while total < budget:
+                pushed = self._dfs_push(source, sink, budget - total, level, it)
                 if pushed == 0:
                     break
                 total += pushed
+        return total
 
-        flows = [
-            self._orig_cap[e] - cap[e] if e % 2 == 0 else 0
-            for e in range(len(cap))
-        ]
-        return MaxFlowResult(total, flows)
-
-    def _dfs_push(self, source, sink, INF, level, it):
-        """One augmenting push along the level graph, iteratively."""
+    def _dfs_push(self, source, sink, limit, level, it):
+        """One augmenting push of at most ``limit`` units, iteratively."""
         cap, head, adj = self._cap, self._head, self._adj
-        # path of (node, edge) frames
+        # the current path: its nodes, and the edges between them
         stack: list[int] = [source]
         path_edges: list[int] = []
         while stack:
             u = stack[-1]
             if u == sink:
-                # bottleneck along path_edges
-                bottleneck = min(cap[e] for e in path_edges)
+                bottleneck = min(limit, min(cap[e] for e in path_edges))
                 for e in path_edges:
                     cap[e] -= bottleneck
                     cap[e ^ 1] += bottleneck
                 return bottleneck
-            advanced = False
-            while it[u] < len(adj[u]):
-                e = adj[u][it[u]]
-                v = head[e]
-                if cap[e] > 0 and level[v] == level[u] + 1:
-                    stack.append(v)
-                    path_edges.append(e)
-                    advanced = True
+            edges = adj[u]
+            next_level = level[u] + 1
+            i, m = it[u], len(edges)
+            while i < m:
+                e = edges[i]
+                if cap[e] > 0 and level[head[e]] == next_level:
                     break
-                it[u] += 1
-            if not advanced:
+                i += 1
+            it[u] = i
+            if i < m:
+                stack.append(head[e])
+                path_edges.append(e)
+            else:
                 level[u] = -1  # dead end; prune
                 stack.pop()
                 if path_edges:
@@ -202,6 +228,21 @@ class Dinic:
                 if stack:
                     it[stack[-1]] += 1
         return 0
+
+    def withdraw(self, path: Iterable[int]) -> None:
+        """Cancel one unit of flow along a path of edge handles.
+
+        Every edge on the path must carry flow; the caller picks a
+        source-to-sink path, so conservation holds.
+        """
+        cap = self._cap
+        for e in path:
+            cap[e] += 1
+            cap[e ^ 1] -= 1
+
+    def flow(self, handle: int) -> int:
+        """Flow currently routed on an edge."""
+        return self._orig_cap[handle] - self._cap[handle]
 
     # ------------------------------------------------------------------
     # Introspection

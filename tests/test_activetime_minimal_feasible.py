@@ -7,6 +7,7 @@ from repro.activetime import (
     exact_active_time,
     minimal_feasible_schedule,
 )
+from repro.activetime.minimal_feasible import _ordering
 from repro.core import Instance
 from repro.flow import ActiveTimeFeasibility, is_feasible_slot_set
 from repro.instances import figure3, random_active_time_instance
@@ -59,6 +60,11 @@ class TestMinimality:
             tiny_instance, 2, range(1, 7), order=[6, 5, 4]
         )
         assert is_feasible_slot_set(tiny_instance, 2, slots)
+
+    def test_explicit_order_tries_each_slot_once(self):
+        # A repeated slot is tried once, at its first occurrence.
+        assert _ordering([3, 3, 2], [1, 2, 3], None) == [3, 2, 1]
+        assert _ordering([9, 2, 2, 1], [1, 2, 3], None) == [2, 1, 3]
 
 
 class TestApproximationGuarantee:

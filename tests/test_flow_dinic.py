@@ -1,6 +1,7 @@
 """Unit tests for the Dinic max-flow solver, cross-checked against networkx."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.flow import Dinic, NamedFlowNetwork
@@ -113,6 +114,68 @@ class TestReuse:
         net = Dinic(2)
         e = net.add_edge(0, 1, 5)
         assert net.capacity(e) == 5
+
+
+class TestWarmAugment:
+    def test_augment_honours_limit(self):
+        # One path with bottleneck 7: a limited push must stop at the limit.
+        net = Dinic(3)
+        net.add_edge(0, 1, 7)
+        net.add_edge(1, 2, 9)
+        assert net.augment(0, 2, limit=3) == 3
+        assert net.augment(0, 2, limit=0) == 0
+        assert net.augment(0, 2, limit=10) == 4
+        assert net.augment(0, 2) == 0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_limited_augments_sum_to_max_flow(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 12))
+        net = Dinic(n)
+        for _ in range(int(rng.integers(n, 4 * n))):
+            u, v = (int(x) for x in rng.integers(0, n, size=2))
+            if u != v:
+                net.add_edge(u, v, int(rng.integers(1, 20)))
+        expected = net.max_flow(0, n - 1).value
+        net.reset()
+        total = 0
+        for k in (1, 2, 3, 5, 8):
+            pushed = net.augment(0, n - 1, limit=k)
+            assert 0 <= pushed <= k
+            total += pushed
+        total += net.augment(0, n - 1)
+        assert total == expected
+        # and a cold solve after the warm ones still answers the same
+        assert net.max_flow(0, n - 1).value == expected
+
+    def test_set_capacity_keeps_flow_that_fits(self):
+        net = Dinic(3)
+        a = net.add_edge(0, 1, 5)
+        net.add_edge(1, 2, 5)
+        assert net.augment(0, 2) == 5
+        net.set_capacity(a, 8)  # raising keeps the 5 routed units
+        assert net.flow(a) == 5
+        assert net.augment(0, 2) == 0
+
+    def test_set_capacity_below_flow_resets(self):
+        net = Dinic(3)
+        a = net.add_edge(0, 1, 5)
+        b = net.add_edge(1, 2, 5)
+        net.augment(0, 2)
+        net.set_capacity(a, 2)
+        assert net.flow(a) == 0 and net.flow(b) == 0
+        assert net.augment(0, 2) == 2
+
+    def test_withdraw_then_reaugment(self):
+        net = Dinic(4)
+        a = net.add_edge(0, 1, 2)
+        b = net.add_edge(1, 2, 1)
+        c = net.add_edge(1, 3, 1)
+        d = net.add_edge(2, 3, 1)
+        assert net.max_flow(0, 3).value == 2
+        net.withdraw((a, b, d))
+        assert net.flow(b) == 0 and net.flow(a) == 1 and net.flow(c) == 1
+        assert net.augment(0, 3) == 1
 
 
 class TestMinCut:
