@@ -3,7 +3,8 @@
 For an interval-job instance, the *raw demand* ``|A(t)|`` counts jobs whose
 interval covers ``t``; the *demand* is ``D(t) = ceil(|A(t)| / g)``.  Demand is
 constant on each interesting interval, so the whole profile is a list of
-``(segment, raw_demand)`` pairs — at most ``2n`` of them.
+``(segment, raw_demand)`` pairs — at most ``2n - 1`` of them, produced by one
+``O(n log n)`` breakpoint sweep (:func:`repro.core.intervals.demand_segments`).
 
 The profile cost ``sum_i D(I_i) * ℓ(I_i)`` lower-bounds the optimal busy time
 (Observation 4) and is the quantity the 2-approximation algorithms charge.
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..core.intervals import interesting_intervals
+from ..core.intervals import demand_segments
 from ..core.jobs import Instance, Job
 from ..core.validation import require_capacity, require_interval_jobs
 
@@ -88,14 +89,19 @@ class DemandProfile:
 
 
 def compute_demand_profile(instance: Instance, g: int) -> DemandProfile:
-    """Compute the demand profile of an interval instance (Definition 13)."""
+    """Compute the demand profile of an interval instance (Definition 13).
+
+    One breakpoint sweep, ``O(n log n)``; the raw demands are exactly
+    :meth:`Instance.raw_demand_at` at each segment's midpoint.
+    """
     require_interval_jobs(instance, "demand profile")
     require_capacity(g)
-    segments = interesting_intervals(instance)
-    raw = tuple(
-        instance.raw_demand_at(0.5 * (a + b)) for a, b in segments
+    pairs = demand_segments(instance)
+    return DemandProfile(
+        segments=tuple(segment for segment, _ in pairs),
+        raw=tuple(raw for _, raw in pairs),
+        g=g,
     )
-    return DemandProfile(segments=tuple(segments), raw=raw, g=g)
 
 
 def pad_to_multiple_of_g(

@@ -9,14 +9,19 @@ at most two mutually overlapping jobs per level, then resolves each group of
     sum_k 2 * Sp({t : |A(t)| >= (k-1)g + 1})  =  2 * profile.
 
 This module implements that scheme with a greedy level chooser (process jobs
-by release time; take the lowest admissible level).  When the greedy cannot
-honour the level-region constraint it falls back to the lowest level with a
-free overlap slot, which can in principle exceed the region — the returned
-schedule therefore carries a runtime certificate check against the rigorous
-bound ``2 * profile``, and :func:`repro.busytime.two_approx.chain_peeling_two_approx`
-provides the variant whose guarantee holds unconditionally by construction.
-Dummy-job padding (Appendix A.1) is applied first so the raw demand is a
-multiple of ``g`` everywhere, exactly as the paper prescribes.
+by release time; take the lowest level with a free overlap slot).  The greedy
+does not enforce the level-region constraint, so a level can in principle
+exceed its region — the returned schedule therefore carries a runtime
+certificate check against the rigorous bound ``2 * profile``, and
+:func:`repro.busytime.two_approx.chain_peeling_two_approx` provides the
+variant whose guarantee holds unconditionally by construction.  Dummy-job
+padding (Appendix A.1) is applied first so the raw demand is a multiple of
+``g`` everywhere, exactly as the paper prescribes.
+
+Cost: the padding and the certificate are one ``O(n log n)`` demand-profile
+sweep each; level placement scans the open levels, each holding at most two
+live members; the per-level overlap graphs come from a release-order sweep
+rather than all pairs.
 
 Per-level overlap graphs are triangle-free interval graphs (at most 2 jobs
 overlap pointwise), hence chordal and triangle-free — i.e. forests — so the
@@ -43,56 +48,41 @@ def assign_levels(padded: Instance, g: int) -> dict[int, int]:
     """Assign each padded job to a level (1-based), <= 2 overlapping per level.
 
     Jobs are processed by release time; each takes the lowest level that
-    (a) lies inside the demand region along the whole job (level <= min raw
-    demand over the job's span) and (b) currently has at most one assigned
-    job live at the release time.  Because every previously assigned job
-    overlapping the newcomer is live at its release, (b) caps the pointwise
-    overlap per level at two globally.  If no level satisfies both, (a) is
-    dropped (certificate still checked downstream).
+    currently has at most one assigned job live at its release, or opens a
+    new level.  Because every previously assigned job overlapping the
+    newcomer is live at its release, this caps the pointwise overlap per
+    level at two globally.
+
+    Preferring levels under the level-region ceiling (the minimum raw
+    demand over the job) would not change any choice: the lowest free
+    level is either under the ceiling, or it is what falling back to "any
+    free level" picks; and a new level opens exactly when none is free.
+    So the ceiling is not computed; the ``2 * profile`` certificate is
+    checked downstream.
+
+    Each level keeps only its members still live — releases only grow, so
+    a member that has ended never counts again — which makes a placement
+    cost one pass over the levels with at most two members each.
     """
-    profile = compute_demand_profile(padded, 1)  # raw demand per segment
-    segments = profile.segments
-    raw = profile.raw
-
-    def min_demand_over(job: Job) -> int:
-        vals = [
-            raw[i]
-            for i, (a, b) in enumerate(segments)
-            if a < job.deadline - TIME_EPS and b > job.release + TIME_EPS
-        ]
-        return min(vals) if vals else 0
-
     ordered = sorted(padded.jobs, key=lambda j: (j.release, -j.length, j.id))
     level_of: dict[int, int] = {}
-    # levels[l] = jobs assigned to level l+1 so far
+    # levels[l] = jobs assigned to level l+1 that may still be live
     levels: list[list[Job]] = []
 
-    def live_count(level_jobs: list[Job], t: float) -> int:
-        return sum(
-            1
-            for j in level_jobs
-            if j.release <= t + TIME_EPS and j.deadline > t + TIME_EPS
-        )
+    def live_count(l: int, t: float) -> int:
+        # every member was released no later than t; drop the ended ones
+        live = [j for j in levels[l] if j.deadline > t + TIME_EPS]
+        levels[l] = live
+        return len(live)
 
     for job in ordered:
-        ceiling = min_demand_over(job)
-        chosen: int | None = None
-        for l in range(min(ceiling, len(levels))):
-            if live_count(levels[l], job.release) <= 1:
-                chosen = l
-                break
-        if chosen is None and ceiling > len(levels):
+        chosen = next(
+            (l for l in range(len(levels)) if live_count(l, job.release) <= 1),
+            None,
+        )
+        if chosen is None:
             chosen = len(levels)
             levels.append([])
-        if chosen is None:
-            # fallback: lowest level anywhere with a free overlap slot
-            for l in range(len(levels)):
-                if live_count(levels[l], job.release) <= 1:
-                    chosen = l
-                    break
-            if chosen is None:
-                chosen = len(levels)
-                levels.append([])
         levels[chosen].append(job)
         level_of[job.id] = chosen + 1
     return level_of
@@ -104,13 +94,22 @@ def two_color_level(jobs: list[Job]) -> dict[int, int]:
     Returns ``job id -> 0/1``.  Raises if the level is not 2-colorable,
     which would mean three jobs overlap at a point — excluded by the level
     assignment invariant.
+
+    The overlap edges come from a sweep in release order that tests each
+    job only against the earlier jobs whose windows have not yet ended.
+    Each component is colored from its first job in input order, so the
+    coloring does not depend on the order the edges were found in.
     """
     adj: dict[int, list[int]] = {j.id: [] for j in jobs}
-    for i, a in enumerate(jobs):
-        for b in jobs[i + 1 :]:
-            if a.release < b.deadline - TIME_EPS and b.release < a.deadline - TIME_EPS:
+    open_jobs: list[Job] = []
+    for b in sorted(jobs, key=lambda j: j.release):
+        # a job ended by b's release overlaps no later-released job either
+        open_jobs = [a for a in open_jobs if b.release < a.deadline - TIME_EPS]
+        for a in open_jobs:
+            if a.release < b.deadline - TIME_EPS:
                 adj[a.id].append(b.id)
                 adj[b.id].append(a.id)
+        open_jobs.append(b)
     color: dict[int, int] = {}
     for j in jobs:
         if j.id in color:

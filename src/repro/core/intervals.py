@@ -8,7 +8,12 @@ real intervals ``[a, b)``:
   projection onto the time axis (Definition 10);
 * *interesting intervals* (Definition 12) — maximal intervals in which no job
   begins or ends; the demand is uniform over each one, and there are at most
-  ``2n`` of them.
+  ``2n - 1`` of them.
+
+:func:`demand_segments` computes every interesting interval together with its
+raw demand ``|A(I)|`` in one breakpoint sweep — one sort of the ``2n`` window
+ends plus a binary search per segment, ``O(n log n)`` in all — instead of
+recounting the jobs at every segment (``O(n^2)``).
 
 All functions treat intervals as ``(start, end)`` tuples with
 ``start <= end``; empty intervals are tolerated and contribute nothing.
@@ -16,6 +21,7 @@ All functions treat intervals as ``(start, end)`` tuples with
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Sequence
 
 from .jobs import TIME_EPS, Instance, Job
@@ -29,6 +35,7 @@ __all__ = [
     "intersection_length",
     "subtract",
     "contains",
+    "demand_segments",
     "interesting_intervals",
     "coverage_counts",
 ]
@@ -109,25 +116,50 @@ def contains(outer: Interval, inner: Interval) -> bool:
     )
 
 
+def demand_segments(instance: Instance) -> list[tuple[Interval, int]]:
+    """Interesting intervals paired with their raw demand ``|A(I)|``.
+
+    The instance's event points cut ``[min_j r_j, max_j d_j)`` into
+    segments; each segment longer than :data:`TIME_EPS` is sampled at its
+    midpoint ``t`` and kept when ``|A(t)| > 0``.  ``|A(t)|`` is the number
+    of windows with ``r_j - ε <= t`` minus the number with ``d_j - ε <= t``
+    — exactly :meth:`Job.is_live_at`'s test, so the counts equal
+    :meth:`Instance.raw_demand_at` at every midpoint.  Sorting those keys
+    once and bisecting per segment costs ``O(n log n)`` overall.
+    """
+    if not instance.jobs:
+        return []
+    release_keys: list[float] = []
+    deadline_keys: list[float] = []
+    for j in instance.jobs:
+        lo, hi = j.release - TIME_EPS, j.deadline - TIME_EPS
+        if lo < hi:  # a window with hi <= lo is live nowhere
+            release_keys.append(lo)
+            deadline_keys.append(hi)
+    release_keys.sort()
+    deadline_keys.sort()
+    points = instance.event_points()
+    out: list[tuple[Interval, int]] = []
+    for a, b in zip(points, points[1:]):
+        if b - a <= TIME_EPS:
+            continue
+        mid = 0.5 * (a + b)
+        raw = bisect_right(release_keys, mid) - bisect_right(deadline_keys, mid)
+        if raw > 0:
+            out.append(((a, b), raw))
+    return out
+
+
 def interesting_intervals(instance: Instance) -> list[Interval]:
     """Definition 12: maximal intervals in which no job begins or ends.
 
     The returned intervals partition ``[min_j r_j, max_j d_j)`` at every
     release time and deadline; segments not covered by any job window are
     *excluded* (demand zero there, and no busy-time algorithm ever opens a
-    machine over them).  There are at most ``2n - 1`` segments total.
+    machine over them).  There are at most ``2n - 1`` segments total.  The
+    segments of :func:`demand_segments`, so ``O(n log n)``.
     """
-    if not instance.jobs:
-        return []
-    points = instance.event_points()
-    segments: list[Interval] = []
-    for a, b in zip(points, points[1:]):
-        if b - a <= TIME_EPS:
-            continue
-        mid = 0.5 * (a + b)
-        if instance.raw_demand_at(mid) > 0:
-            segments.append((a, b))
-    return segments
+    return [segment for segment, _ in demand_segments(instance)]
 
 
 def coverage_counts(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 __all__ = ["Job", "Instance", "TIME_EPS"]
@@ -183,6 +184,11 @@ class Instance:
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate job ids: {dupes}")
 
+    def __getstate__(self) -> dict:
+        # Cached predicates stay out of pickles: workers recompute them on
+        # demand, and an instance pickles to the same bytes either way.
+        return {"jobs": self.jobs}
+
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
@@ -267,9 +273,13 @@ class Instance:
     # ------------------------------------------------------------------
     # Structure predicates
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def all_interval(self) -> bool:
-        """True when every job is an interval job (rigid start times)."""
+        """True when every job is an interval job (rigid start times).
+
+        Evaluated once per instance (the jobs are immutable); every
+        interval-only entry point checks it.
+        """
         return all(j.is_interval for j in self.jobs)
 
     @property

@@ -49,6 +49,7 @@ trample each other's counters.
 from __future__ import annotations
 
 import multiprocessing as mp
+import signal
 import threading
 import time
 from collections import deque
@@ -260,7 +261,16 @@ class _WatchdogWorker:
         proc = ctx.Process(
             target=worker_loop, args=(child_conn,), daemon=True
         )
-        proc.start()
+        # The child inherits the blocked SIGINT until worker_loop
+        # ignores it; a Ctrl-C meanwhile reaches only the parent.
+        masked = hasattr(signal, "pthread_sigmask")
+        if masked:
+            previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            proc.start()
+        finally:
+            if masked:
+                signal.pthread_sigmask(signal.SIG_SETMASK, previous)
         child_conn.close()
         return cls(proc=proc, conn=parent_conn)
 

@@ -259,7 +259,17 @@ def worker_loop(conn) -> None:
     which keeps ``recv`` from ever seeing EOF — hence the explicit
     orphan check (``getppid`` flips to the reaper once the parent is
     gone) on every poll interval.
+
+    ``SIGINT`` is ignored: a Ctrl-C reaches the whole process group, and
+    the parent owns the interrupt — it kills the workers still holding
+    tasks and exits 130 — so a worker must not die with a traceback of
+    its own.  The parent spawns with ``SIGINT`` blocked, which closes
+    the window before this handler is installed; unblocking then drops
+    any interrupt that arrived in between.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if hasattr(signal, "pthread_sigmask"):
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     parent = os.getppid()
     while True:
         try:
@@ -284,7 +294,7 @@ def execute_task(task: Task) -> TaskResult:
     This is the function shipped to worker processes; it must stay
     importable at module top level so it pickles by reference.
     ``KeyboardInterrupt`` is deliberately *not* captured — it must
-    propagate so pool shutdown works.
+    propagate so an in-process (``jobs=1``) run stops on Ctrl-C.
     """
     trace = TaskTrace(
         algorithm=task.algorithm,

@@ -6,8 +6,10 @@ worker-pool path runs exactly as a user would run it.
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -114,6 +116,82 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "busy/first_fit g=2" in out
         assert "tasks: 1" in out
+
+
+def _group_members(pgid):
+    """Pids of the live (non-zombie) processes in process group ``pgid``."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        fields = stat[stat.rindex(")") + 2:].split()
+        if fields[0] != "Z" and int(fields[2]) == pgid:
+            pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc") or not hasattr(os, "killpg"),
+    reason="needs POSIX process groups and /proc",
+)
+class TestSweepInterrupt:
+    """Ctrl-C on a parallel sweep: the parent reports, workers stay quiet."""
+
+    ARGS = [
+        "sweep", "--problem", "busy", "--generators", "flexible",
+        "--n", "40", "--horizon", "40", "--instances", "400",
+        "--jobs", "2", "--no-cache",
+    ]
+
+    def _interrupt_mid_run(self, cwd):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+        # Own session, so the signal goes to this sweep's group only;
+        # SIGINT reset to default, since a child of a non-interactive
+        # shell may inherit SIG_IGN, which would hide worker tracebacks.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *self.ARGS],
+            cwd=cwd,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            # mid-run: both workers spawned, then let them pick up tasks
+            while len(_group_members(proc.pid)) < 3:
+                assert proc.poll() is None, proc.stderr.read()
+                assert time.monotonic() < deadline, "workers never started"
+                time.sleep(0.05)
+            time.sleep(1.0)
+            assert proc.poll() is None, "sweep finished before the interrupt"
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        settle = time.monotonic() + 5.0
+        while _group_members(proc.pid) and time.monotonic() < settle:
+            time.sleep(0.05)
+        return proc.returncode, err, _group_members(proc.pid)
+
+    @pytest.mark.parametrize("attempt", range(3))
+    def test_ctrl_c_exits_130_without_worker_noise(self, tmp_path, attempt):
+        code, err, survivors = self._interrupt_mid_run(tmp_path)
+        assert code == 130, err
+        assert "interrupted" in err
+        assert "Traceback" not in err, err
+        assert "Process ForkProcess" not in err, err
+        assert survivors == []
 
 
 class TestBatchCommand:
